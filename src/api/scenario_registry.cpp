@@ -1,9 +1,11 @@
 #include "api/scenario_registry.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "api/gridml_scenario.hpp"
+#include "common/parse.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
 
@@ -23,16 +25,16 @@ Result<int> parse_int(const std::string& piece, const std::string& what) {
   }
 }
 
+/// A link rate in Mbps: finite and above zero. NaN or infinite rates
+/// would become NaN link capacities that the fair-share solver cannot
+/// fill.
 Result<double> parse_rate(const std::string& piece) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(piece, &used);
-    if (used != piece.size() || value <= 0.0) throw std::invalid_argument(piece);
-    return value;
-  } catch (const std::exception&) {
+  const auto value = parse::to_double(piece);
+  if (!value || !std::isfinite(*value) || *value <= 0.0) {
     return make_error(ErrorCode::invalid_argument,
-                      "bad rate '" + piece + "' (expected Mbps > 0)");
+                      "bad rate '" + piece + "' (expected finite Mbps > 0)");
   }
+  return *value;
 }
 
 /// Reject specs carrying more parameters than the builder understands —

@@ -30,7 +30,48 @@ CoverageGraph::Resolver topology_resolver(const simnet::Topology& topo) {
   };
 }
 
-CoverageGraph::CoverageGraph(const DeploymentPlan& plan, Resolver resolve) {
+CoverageComponents::CoverageComponents(const DeploymentPlan& plan,
+                                       const HostResolver& resolve) {
+  std::vector<std::uint32_t> parent;
+  const auto find = [&parent](std::uint32_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  // Every host of one group becomes connected to the group's first.
+  const auto join = [&](const std::vector<std::string>& group) {
+    std::uint32_t root = 0;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      const std::string name = resolve ? resolve(group[i]) : group[i];
+      const auto [it, added] =
+          label_.try_emplace(name, static_cast<std::uint32_t>(parent.size()));
+      if (added) parent.push_back(it->second);
+      const std::uint32_t id = find(it->second);
+      if (i == 0) {
+        root = id;
+      } else if (id != root) {
+        parent[id] = root;
+      }
+    }
+  };
+  for (const auto& clique : plan.cliques) join(clique.members);
+  for (const auto& substitution : plan.substitutions) join(substitution.covered);
+  for (auto& [name, id] : label_) id = find(id);
+}
+
+std::optional<std::uint32_t> CoverageComponents::label(const std::string& host) const {
+  const auto it = label_.find(host);
+  if (it == label_.end()) return std::nullopt;
+  return it->second;
+}
+
+bool CoverageComponents::connected(const std::string& a, const std::string& b) const {
+  if (a == b) return true;
+  const auto la = label(a);
+  return la && la == label(b);
+}
+
+CoverageGraph::CoverageGraph(const DeploymentPlan& plan, Resolver resolve)
+    : components_(plan, resolve) {
   if (!resolve) resolve = [](const std::string& name) { return name; };
   const auto link = [this](const std::string& a, const std::string& b,
                            const std::string& series_a, const std::string& series_b) {
@@ -115,8 +156,7 @@ std::vector<std::pair<std::string, std::string>> CoverageGraph::route(
 }
 
 bool CoverageGraph::coverable(const std::string& src, const std::string& dst) const {
-  if (src == dst) return true;
-  return !route(src, dst).empty();
+  return components_.connected(src, dst);
 }
 
 std::string QueryService::resolve(const std::string& machine) const {

@@ -13,7 +13,9 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.hpp"
@@ -26,12 +28,37 @@ enum class QueryMethod { direct, substituted, aggregated };
 
 [[nodiscard]] const char* to_string(QueryMethod method);
 
+/// Maps plan machine names to series/node names.
+using HostResolver = std::function<std::string(const std::string&)>;
+
+/// Connected components of a plan's measured-pair graph. A host pair is
+/// answerable — directly, by substitution or by aggregation — exactly
+/// when both hosts share a component, so this is the one definition of
+/// reachability: the validator's completeness check reads it, and so
+/// does CoverageGraph::coverable. Union-find over each clique's members
+/// and each substitution's covered set: linear in the plan's members,
+/// not in its pairs.
+class CoverageComponents {
+ public:
+  /// `resolve` as for CoverageGraph (identity when empty).
+  CoverageComponents(const DeploymentPlan& plan, const HostResolver& resolve = nullptr);
+
+  /// Component label of `host`; nullopt when no clique or substitution
+  /// names it.
+  [[nodiscard]] std::optional<std::uint32_t> label(const std::string& host) const;
+  /// True when (a, b) is answerable; a host always reaches itself.
+  [[nodiscard]] bool connected(const std::string& a, const std::string& b) const;
+
+ private:
+  std::unordered_map<std::string, std::uint32_t> label_;
+};
+
 /// Static view of which host pairs a plan can answer for, and through
-/// which measured series. Usable without a running NWS (the validator's
-/// completeness check) as well as by the live QueryService.
+/// which measured series. Usable without a running NWS as well as by
+/// the live QueryService.
 class CoverageGraph {
  public:
-  using Resolver = std::function<std::string(const std::string&)>;
+  using Resolver = HostResolver;
 
   /// `resolve` maps plan machine names to series/node names (identity by
   /// default).
@@ -49,6 +76,7 @@ class CoverageGraph {
   std::map<std::string, std::vector<std::string>> adjacency_;
   std::map<std::pair<std::string, std::string>, std::pair<std::string, std::string>>
       pair_to_series_;
+  CoverageComponents components_;
 };
 
 struct PathQueryReply {

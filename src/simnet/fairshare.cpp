@@ -1,9 +1,43 @@
 #include "simnet/fairshare.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <sstream>
 
 namespace envnws::simnet {
+
+namespace {
+
+void print_use(std::ostream& out, std::uint32_t resource) { out << " " << resource; }
+void print_use(std::ostream& out, const WeightedUse& use) {
+  out << " " << use.resource << "*" << use.weight;
+}
+
+/// Progressive filling must freeze at least one flow per round at a
+/// finite share; a round that cannot (NaN or negative capacities) would
+/// loop forever. Stop with the whole problem on stderr instead, in every
+/// build type.
+template <typename Problem>
+[[noreturn, gnu::cold, gnu::noinline]] void stalled(const char* solver, const char* why,
+                                                    const Problem& problem,
+                                                    const std::vector<double>& residual) {
+  std::ostringstream out;
+  out.precision(17);
+  out << solver << ": fair-share solver made no progress (" << why << ")\n  capacities:";
+  for (const double c : problem.capacities) out << " " << c;
+  out << "\n  residuals:";
+  for (const double r : residual) out << " " << r;
+  for (std::size_t f = 0; f < problem.flows.size(); ++f) {
+    out << "\n  flow " << f << ":";
+    for (const auto& use : problem.flows[f]) print_use(out, use);
+  }
+  std::fprintf(stderr, "%s\n", out.str().c_str());
+  std::abort();
+}
+
+}  // namespace
 
 std::vector<double> solve_max_min(const FairShareProblem& problem) {
   const std::size_t flow_count = problem.flows.size();
@@ -37,7 +71,9 @@ std::vector<double> solve_max_min(const FairShareProblem& problem) {
       const double share = residual[r] / static_cast<double>(users[r]);
       if (share < bottleneck_share) bottleneck_share = share;
     }
-    assert(bottleneck_share < std::numeric_limits<double>::infinity());
+    if (!(bottleneck_share < std::numeric_limits<double>::infinity())) [[unlikely]] {
+      stalled("solve_max_min", "no finite bottleneck share", problem, residual);
+    }
 
     // Every unfixed flow crossing a resource whose fair share equals the
     // bottleneck share is frozen at that rate.
@@ -64,8 +100,9 @@ std::vector<double> solve_max_min(const FairShareProblem& problem) {
         --users[r];
       }
     }
-    assert(froze_any);
-    (void)froze_any;
+    if (!froze_any) [[unlikely]] {
+      stalled("solve_max_min", "no flow froze", problem, residual);
+    }
   }
   return rates;
 }
@@ -111,7 +148,9 @@ std::vector<double> solve_max_min_weighted(const WeightedFairShareProblem& probl
       const double share = residual[r] / weight_sum[r];
       if (share < bottleneck_share) bottleneck_share = share;
     }
-    assert(bottleneck_share < std::numeric_limits<double>::infinity());
+    if (!(bottleneck_share < std::numeric_limits<double>::infinity())) [[unlikely]] {
+      stalled("solve_max_min_weighted", "no finite bottleneck share", problem, residual);
+    }
 
     bool froze_any = false;
     for (std::size_t f = 0; f < flow_count; ++f) {
@@ -142,8 +181,9 @@ std::vector<double> solve_max_min_weighted(const WeightedFairShareProblem& probl
         }
       }
     }
-    assert(froze_any);
-    (void)froze_any;
+    if (!froze_any) [[unlikely]] {
+      stalled("solve_max_min_weighted", "no flow froze", problem, residual);
+    }
   }
   return rates;
 }

@@ -51,7 +51,8 @@ TEST(ScenarioSpec, RoundTripsThroughToString) {
 TEST(ScenarioSpec, RejectsMalformedSpecs) {
   for (const char* text : {"", "  ", ":3x3", "star:", "star:x", "star:3x", "star@",
                            "star@fast", "star@-10", "star@0", "dumbbell:axb",
-                           "dumbbell:3.5"}) {
+                           "dumbbell:3.5", "star-switch:4@nan", "star-switch:4@inf",
+                           "dumbbell:3x3@100/nan", "star@1e400", "star@-inf", "star@ 100"}) {
     auto spec = ScenarioSpec::parse(text);
     EXPECT_FALSE(spec.ok()) << "'" << text << "' should not parse";
     if (!spec.ok()) EXPECT_EQ(spec.error().code, ErrorCode::invalid_argument) << text;

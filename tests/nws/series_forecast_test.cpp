@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "nws/forecast.hpp"
@@ -155,6 +156,10 @@ struct TraceCase {
   const char* name;
   int kind;  // 0 constant, 1 ramp, 2 noisy, 3 periodic
 };
+
+// Without this, gtest prints the parameter as its raw bytes (a string
+// pointer plus padding), so the listed test names change from run to run.
+void PrintTo(const TraceCase& trace, std::ostream* os) { *os << trace.name; }
 
 class ForecastFamilies : public ::testing::TestWithParam<TraceCase> {};
 

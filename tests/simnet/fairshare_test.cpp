@@ -135,5 +135,24 @@ TEST_P(FairShareProperty, CapacityRespectedAndEveryFlowHasSaturatedBottleneck) {
 INSTANTIATE_TEST_SUITE_P(RandomProblems, FairShareProperty,
                          ::testing::Range<std::uint64_t>(1, 41));
 
+// A capacity no round can fill used to spin forever in release builds,
+// where the progress asserts compiled away; the guard aborts in every
+// build type and names the stuck problem.
+TEST(FairShareDeathTest, UnfillableCapacityAbortsInsteadOfSpinning) {
+  const double nan = std::nan("");
+  EXPECT_DEATH(solve_max_min(FairShareProblem{{nan}, {{0}}}),
+               "no progress \\(no finite bottleneck share\\).*capacities: nan");
+  EXPECT_DEATH(solve_max_min(FairShareProblem{{-1.0}, {{0}}}),
+               "no progress \\(no flow froze\\).*residuals: -1.*flow 0: 0");
+}
+
+TEST(WeightedFairShareDeathTest, UnfillableCapacityAbortsInsteadOfSpinning) {
+  const double nan = std::nan("");
+  EXPECT_DEATH(solve_max_min_weighted(WeightedFairShareProblem{{nan}, {{{0, 1.0}}}}),
+               "solve_max_min_weighted: .*no finite bottleneck share");
+  EXPECT_DEATH(solve_max_min_weighted(WeightedFairShareProblem{{-1.0}, {{{0, 1.0}}}}),
+               "solve_max_min_weighted: .*no flow froze.*flow 0: 0\\*1");
+}
+
 }  // namespace
 }  // namespace envnws::simnet
